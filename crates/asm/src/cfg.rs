@@ -19,6 +19,9 @@
 //! block. A jump to a label the function never defines gets no edge — the
 //! reference semantics only faults when such a jump is *taken*, so the
 //! unresolved target simply truncates that path.
+//!
+//! The module also holds the one strongly-connected-components pass the
+//! static call-graph consumers share ([`sccs`]).
 
 use crate::{AsmFunction, Instr};
 use std::collections::HashMap;
@@ -136,6 +139,70 @@ impl Cfg {
             Err(b) => (i < self.blocks[b - 1].end).then(|| b - 1),
         }
     }
+}
+
+/// Strongly connected components of the graph with adjacency lists
+/// `succs`, in reverse topological order of the condensation: every
+/// component comes after the components it has edges into (callees
+/// before callers on a call graph). Tarjan's algorithm with explicit DFS
+/// frames, so deep graphs cannot overflow the host stack. Shared by the
+/// binary-level call-graph analysis (`stacklint`) and the content-key
+/// closure fold (`vcache`).
+pub fn sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let n = succs.len();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut out: Vec<Vec<usize>> = Vec::new();
+
+    // Explicit DFS frames: (node, next-successor position).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != usize::MAX {
+            continue;
+        }
+        frames.push((root, 0));
+        index[root] = next_index;
+        low[root] = next_index;
+        next_index += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
+            if let Some(&w) = succs[v].get(*pos) {
+                *pos += 1;
+                if index[w] == usize::MAX {
+                    index[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut component = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("scc stack underflow");
+                        on_stack[w] = false;
+                        component.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    out.push(component);
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

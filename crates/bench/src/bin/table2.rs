@@ -28,7 +28,7 @@ fn main() {
         (program, compiled)
     };
     let prepared = if opts.parallel_measure {
-        stackbound::par_map(&cases, prepare)
+        stackbound::par_map(&cases, 0, prepare)
     } else {
         cases.iter().map(prepare).collect()
     };

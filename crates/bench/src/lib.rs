@@ -112,7 +112,7 @@ pub fn prepare_table1_with_opts(
         }
     };
     if opts.parallel_measure {
-        stackbound::par_map(&benchmarks, prepare)
+        stackbound::par_map(&benchmarks, 0, prepare)
     } else {
         benchmarks.iter().map(prepare).collect()
     }
@@ -127,7 +127,7 @@ pub fn measure_mains(preps: &[Prepared], opts: &SuiteOptions) -> Vec<asm::Measur
         measure_main(&p.compiled)
     };
     if opts.parallel_measure {
-        stackbound::par_map(preps, run)
+        stackbound::par_map(preps, 0, run)
     } else {
         preps.iter().map(run).collect()
     }
@@ -147,7 +147,7 @@ pub fn measure_sweep(
         measure(compiled, fname, args)
     };
     if opts.parallel_measure {
-        stackbound::par_map(argsets, run)
+        stackbound::par_map(argsets, 0, run)
     } else {
         argsets.iter().map(run).collect()
     }

@@ -20,7 +20,6 @@ pub(crate) fn translate_function(
     f: &MachFunction,
     target: Target,
 ) -> Result<AsmFunction, CompileError> {
-    let _s = obs::span_dyn(|| format!("compiler/asmgen{{target={}}}/fn/{}", target.name(), f.name));
     let sf = f.frame_size;
     let word = target.word_size();
     let mut code = Vec::with_capacity(f.code.len() + 2);

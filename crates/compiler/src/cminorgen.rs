@@ -2,37 +2,11 @@
 //! stack block with static offsets, make memory accesses explicit, and
 //! erase types.
 
-use crate::cminor::{CmExpr, CmFunction, CmProgram, CmStmt};
+use crate::cminor::{CmExpr, CmFunction, CmStmt};
 use crate::CompileError;
 use clight::{Expr, Program, Stmt, Ty};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Translates a type-checked Clight program to Cminor.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] on constructs the type checker should have
-/// ruled out (indicating an internal invariant violation).
-pub fn translate(program: &Program) -> Result<CmProgram, CompileError> {
-    let mut out = CmProgram {
-        globals: program
-            .globals
-            .iter()
-            .map(|g| (g.name.clone(), g.ty.size(), g.init.clone()))
-            .collect(),
-        externals: program
-            .externals
-            .iter()
-            .map(|e| (e.name.clone(), e.arity, e.ret.is_some()))
-            .collect(),
-        functions: Vec::new(),
-    };
-    for f in &program.functions {
-        out.functions.push(translate_function(f, program)?);
-    }
-    Ok(out)
-}
 
 struct FnCtx<'a> {
     func: &'a clight::Function,

@@ -17,26 +17,20 @@
 //! whose body is small; the callee's stack data is appended to the
 //! caller's.
 
-use crate::rtl::{Node, RtlFunction, RtlInstr, RtlOp, RtlProgram, VReg};
+use crate::rtl::{Node, RtlFunction, RtlInstr, RtlOp, VReg};
 use std::collections::HashMap;
 
 /// Maximum callee size (in RTL instructions) eligible for inlining.
 const MAX_INLINE_SIZE: usize = 48;
 
-/// Runs the inlining pass over every function.
-pub fn inline(program: &mut RtlProgram) {
-    let candidates = candidates(program);
-    for f in &mut program.functions {
-        inline_function(f, &candidates);
-    }
-}
-
-/// Snapshots the candidate bodies first (the per-function transform would
-/// otherwise mutate functions it still needs to read).
-pub(crate) fn candidates(program: &RtlProgram) -> HashMap<String, RtlFunction> {
-    program
-        .functions
-        .iter()
+/// Snapshots the candidate bodies among `functions` (the whole program's,
+/// before any function is inlined into) so the per-function transform
+/// never reads a body it is rewriting.
+pub(crate) fn candidates<'a>(
+    functions: impl IntoIterator<Item = &'a RtlFunction>,
+) -> HashMap<String, RtlFunction> {
+    functions
+        .into_iter()
         .filter(|f| is_leaf(f) && f.code.len() <= MAX_INLINE_SIZE)
         .map(|f| (f.name.clone(), f.clone()))
         .collect()

@@ -45,7 +45,6 @@
 
 pub mod cminor;
 mod cminorgen;
-pub mod incremental;
 pub mod inline;
 pub mod mach;
 mod machgen;
@@ -56,8 +55,7 @@ mod rtlgen;
 
 mod asmgen;
 
-pub use incremental::{compile_incremental, FnArtifacts};
-pub use pipeline::{Budgets, Pipeline, PipelineConfig, PipelineError};
+pub use pipeline::{Budgets, FnArtifacts, FreshArtifacts, Pipeline, PipelineConfig, PipelineError};
 
 use std::fmt;
 
@@ -194,6 +192,52 @@ pub fn compile_with(program: &clight::Program, options: Options) -> Result<Compi
         })
 }
 
+/// Deterministic, order-preserving parallel map: `f` runs over `items`
+/// on at most `workers` threads (`0` means the machine's available
+/// parallelism), each taking one contiguous chunk, and the results land
+/// in index order — so serial and parallel callers produce byte-identical
+/// output. With a single worker (or a single item) the closure runs on
+/// the calling thread.
+///
+/// Shared by the compiler's per-function passes, the cached analyzer
+/// (crate `vcache`), the verifier's parallel measurement and the bench
+/// harnesses. A fallible `f` collects with
+/// `.into_iter().collect::<Result<Vec<_>, _>>()`, which reports the first
+/// error in index order.
+pub fn par_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let mut slots: Vec<Option<U>> = Vec::new();
+    slots.resize_with(items.len(), || None);
+    let chunk = items.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        for (w, (out, inp)) in slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate() {
+            let f = &f;
+            scope.spawn(move || {
+                obs::register_thread(&format!("worker-{w}"));
+                for (slot, item) in out.iter_mut().zip(inp) {
+                    *slot = Some(f(item));
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every slot is filled by exactly one worker"))
+        .collect()
+}
+
 /// Convenience: parse, type-check, and compile C source in one call.
 ///
 /// # Errors
@@ -213,3 +257,35 @@ pub fn compile_c(src: &str, params: &[(&str, u32)]) -> Result<Compiled, String> 
 
 #[cfg(test)]
 mod tests;
+
+#[cfg(test)]
+mod par_map_tests {
+    use super::par_map;
+
+    #[test]
+    fn empty_slice_yields_empty_output() {
+        let out: Vec<u32> = par_map(&[] as &[u32], 0, |&x| x + 1);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn single_item_runs_inline_and_preserves_value() {
+        // One item caps the pool at one worker, so the closure runs on
+        // the calling thread.
+        let caller = std::thread::current().id();
+        let out = par_map(&[41u32], 4, |&x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x + 1
+        });
+        assert_eq!(out, vec![42]);
+    }
+
+    #[test]
+    fn results_land_in_index_order() {
+        let items: Vec<u32> = (0..101).collect();
+        for workers in [0, 1, 3] {
+            let out = par_map(&items, workers, |&x| x * 2);
+            assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
+        }
+    }
+}

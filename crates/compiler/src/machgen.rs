@@ -23,19 +23,27 @@ use asm::{Reg, Target};
 use std::collections::{HashMap, HashSet};
 
 /// Program-level context shared (immutably, so also across worker threads)
-/// by every per-function translation.
+/// by every per-function translation: names resolve to their positions in
+/// the whole program's tables.
 pub(crate) struct Env<'a> {
-    program: &'a RtlProgram,
     pub(crate) target: Target,
     global_index: HashMap<&'a str, u32>,
-    fn_index: HashMap<&'a str, u32>,
-    ext_index: HashMap<&'a str, u32>,
+    /// Position and arity of every internal function.
+    fn_index: HashMap<&'a str, (u32, usize)>,
+    /// Position and arity of every external.
+    ext_index: HashMap<&'a str, (u32, usize)>,
 }
 
 impl<'a> Env<'a> {
-    pub(crate) fn new(program: &'a RtlProgram, target: Target) -> Env<'a> {
+    /// Builds the tables over `program`'s globals and externals and over
+    /// `functions`, every internal function of the whole program in
+    /// definition order.
+    pub(crate) fn new(
+        program: &'a RtlProgram,
+        functions: impl IntoIterator<Item = &'a RtlFunction>,
+        target: Target,
+    ) -> Env<'a> {
         Env {
-            program,
             target,
             global_index: program
                 .globals
@@ -43,17 +51,16 @@ impl<'a> Env<'a> {
                 .enumerate()
                 .map(|(i, (n, _, _))| (n.as_str(), i as u32))
                 .collect(),
-            fn_index: program
-                .functions
-                .iter()
+            fn_index: functions
+                .into_iter()
                 .enumerate()
-                .map(|(i, f)| (f.name.as_str(), i as u32))
+                .map(|(i, f)| (f.name.as_str(), (i as u32, f.params.len())))
                 .collect(),
             ext_index: program
                 .externals
                 .iter()
                 .enumerate()
-                .map(|(i, (n, _, _))| (n.as_str(), i as u32))
+                .map(|(i, (n, a, _))| (n.as_str(), (i as u32, *a)))
                 .collect(),
         }
     }
@@ -61,12 +68,8 @@ impl<'a> Env<'a> {
     fn arity(&self, name: &str) -> Option<usize> {
         self.fn_index
             .get(name)
-            .map(|i| self.program.functions[*i as usize].params.len())
-            .or_else(|| {
-                self.ext_index
-                    .get(name)
-                    .map(|i| self.program.externals[*i as usize].1)
-            })
+            .or_else(|| self.ext_index.get(name))
+            .map(|&(_, arity)| arity)
     }
 }
 
@@ -89,13 +92,6 @@ pub(crate) fn translate_function(
     f: &RtlFunction,
     env: &Env<'_>,
 ) -> Result<MachFunction, CompileError> {
-    let _s = obs::span_dyn(|| {
-        format!(
-            "compiler/machgen{{target={}}}/fn/{}",
-            env.target.name(),
-            f.name
-        )
-    });
     let ice = |msg: String| CompileError::Internal(format!("machgen `{}`: {msg}", f.name));
     let word = env.target.word_size();
 
@@ -401,10 +397,10 @@ pub(crate) fn translate_function(
                     let r = fetch(&mut code, real(lookup(*a, &loc)), SCRATCH_A);
                     code.push(MInstr::StoreStack(word * i as u32, r));
                 }
-                if let Some(fi) = env.fn_index.get(g.as_str()) {
-                    code.push(MInstr::Call(*fi));
-                } else if let Some(ei) = env.ext_index.get(g.as_str()) {
-                    code.push(MInstr::CallExt(*ei));
+                if let Some(&(fi, _)) = env.fn_index.get(g.as_str()) {
+                    code.push(MInstr::Call(fi));
+                } else if let Some(&(ei, _)) = env.ext_index.get(g.as_str()) {
+                    code.push(MInstr::CallExt(ei));
                 } else {
                     return Err(ice(format!("unknown callee `{g}`")));
                 }

@@ -8,23 +8,9 @@
 //! refinement holds with *equal* weights — which the compiler's
 //! differential tests check on every build.
 
-use crate::rtl::{RtlFunction, RtlInstr, RtlOp, RtlProgram, VReg};
+use crate::rtl::{RtlFunction, RtlInstr, RtlOp, VReg};
 use mem::Value;
 use std::collections::HashMap;
-
-/// Runs constant propagation on every function.
-pub fn constprop(program: &mut RtlProgram) {
-    for f in &mut program.functions {
-        constprop_function(f);
-    }
-}
-
-/// Runs dead-code elimination on every function.
-pub fn dce(program: &mut RtlProgram) {
-    for f in &mut program.functions {
-        dce_function(f);
-    }
-}
 
 /// Number of definitions of each vreg in a function.
 fn def_counts(f: &RtlFunction) -> HashMap<VReg, u32> {
@@ -149,12 +135,6 @@ pub(crate) fn dce_function(f: &mut RtlFunction) {
 /// Shortens `Nop` chains so later passes see compact successor edges, and
 /// leaves unreachable instructions in place (they are simply never
 /// executed or emitted).
-pub fn tunnel(program: &mut RtlProgram) {
-    for f in &mut program.functions {
-        tunnel_function(f);
-    }
-}
-
 pub(crate) fn tunnel_function(f: &mut RtlFunction) {
     let resolve = |mut n: u32, code: &Vec<RtlInstr>| {
         let mut hops = 0;

@@ -12,17 +12,35 @@
 //! and asserts [`trace::refinement`] on the concrete run, the testable
 //! counterpart of the paper's per-pass theorems.
 //!
-//! The per-function passes (`rtlgen` and the RTL optimizations through
-//! `asmgen`) additionally support a parallel mode
-//! ([`PipelineConfig::parallel`]) that fans independent function
-//! translations out across `std::thread` workers. Functions are
-//! re-assembled in program order, so parallel output is byte-identical to
-//! serial output.
+//! Every pass is a per-function map. A function's compiled artifacts
+//! therefore depend only on
+//!
+//! 1. its own Clight AST,
+//! 2. the *signatures* (names, order, arities) of the program's globals,
+//!    externals and functions — `machgen` compiles name references down
+//!    to table indices, so positions matter,
+//! 3. with inlining enabled, the RTL bodies of its callees, and
+//! 4. the optimization selection ([`Options`]).
+//!
+//! [`Pipeline::run_reusing`] exploits this: the caller hands it the
+//! per-function [`FnArtifacts`] it already trusts (crate `vcache` keys
+//! them by content covering 1–4), and every pass translates only the
+//! remaining functions. Reused functions are spliced back in from their
+//! artifacts wherever the whole program is needed: for the two
+//! program-wide tables (inline candidates over the pre-optimization RTL,
+//! `machgen`'s name indices over the optimized RTL) and for the assembled
+//! [`Compiled`]. [`Pipeline::run`] is the same driver with nothing to
+//! reuse.
+//!
+//! Per-function translations fan out across `std::thread` workers in
+//! parallel mode ([`PipelineConfig::parallel`]) and are re-assembled in
+//! program order, so parallel output is byte-identical to serial output.
 //!
 //! # Examples
 //!
 //! ```
 //! use compiler::pipeline::{Pipeline, PipelineConfig};
+//! use std::collections::HashMap;
 //!
 //! let program = clight::frontend(
 //!     "u32 sq(u32 x) { return x * x; }
@@ -36,12 +54,22 @@
 //! };
 //! let compiled = Pipeline::new(config).run(&program).unwrap();
 //! assert_eq!(compiled.asm.functions.len(), 2);
+//!
+//! // Reusing every function's artifacts compiles nothing and changes
+//! // nothing.
+//! let pipeline = Pipeline::new(PipelineConfig::default());
+//! let (cold, fresh) = pipeline.run_reusing(&program, &HashMap::new()).unwrap();
+//! let reuse: HashMap<_, _> = fresh.into_iter().collect();
+//! let (warm, none) = pipeline.run_reusing(&program, &reuse).unwrap();
+//! assert!(none.is_empty());
+//! assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
 //! ```
 
 use crate::{asmgen, cminor, cminorgen, inline, mach, machgen, opt, rtl, rtlgen};
-use crate::{CompileError, Compiled, Options};
-use std::collections::BTreeMap;
+use crate::{par_map, CompileError, Compiled, Options};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::refinement::{self, RefinementError};
 use trace::Behavior;
@@ -121,14 +149,54 @@ impl Ir {
 }
 
 /// Per-run context handed to every pass by the driver.
-#[derive(Debug, Clone, Copy)]
-pub struct PassContext {
-    /// Number of worker threads a per-function pass may fan out to
-    /// (`1` means serial).
+pub struct PassContext<'a> {
+    /// Number of worker threads a pass may fan its per-function
+    /// translations out to (`1` means serial).
     pub workers: usize,
     /// The machine the backend passes emit code for (from
     /// [`Options::target`]).
     pub target: asm::Target,
+    /// The pass being run; names its per-function spans.
+    pass: &'a dyn Pass,
+    /// One entry per program function, in definition order: the artifacts
+    /// spliced in for a reused function, `None` for one this run compiles.
+    reused: &'a [Option<&'a FnArtifacts>],
+}
+
+impl PassContext<'_> {
+    /// Translates each of `functions` — the functions this run compiles —
+    /// across [`PassContext::workers`] threads, each inside a
+    /// `compiler/<pass>/fn/<function>` obs span. Results keep input order,
+    /// and the first error in that order wins.
+    fn map<T, U>(
+        &self,
+        functions: &[T],
+        f: impl Fn(&T) -> Result<U, CompileError> + Sync,
+    ) -> Result<Vec<U>, CompileError>
+    where
+        T: FnName + Sync,
+        U: Send,
+    {
+        par_map(functions, self.workers, |func| {
+            let _s = obs::span_dyn(|| {
+                format!("{}/fn/{}", span_name(self.pass, self.target), func.name())
+            });
+            f(func)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The whole program's functions at the pass's input stage, in
+    /// definition order: `functions` (the ones this run compiles) with
+    /// the `pick`ed artifact of every reused function spliced back in.
+    fn whole<'b, F>(
+        &'b self,
+        functions: &'b [F],
+        pick: impl Fn(&'b FnArtifacts) -> &'b F + 'b,
+    ) -> impl Iterator<Item = &'b F> {
+        splice(self.reused, functions, pick)
+    }
 }
 
 /// One compiler pass: a named transformation between [`Ir`] stages with a
@@ -142,17 +210,22 @@ pub trait Pass: Send + Sync {
     /// `compiler/<name>` around the pass and keys [`Budgets`] by this name.
     fn name(&self) -> &'static str;
 
-    /// Transforms the input IR into the output IR.
+    /// Transforms the input IR into the output IR. The input holds only
+    /// the functions this run compiles (all of them when nothing is
+    /// reused), and the output holds their translations in the same
+    /// order; program-wide tables are built over the whole program through
+    /// the context.
     ///
     /// # Errors
     ///
     /// Returns a [`CompileError`] on malformed input (including an input
     /// [`Ir`] stage the pass does not accept) or internal invariant
     /// violations.
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError>;
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError>;
 
     /// The size measure reported as the `instrs_in`/`instrs_out` obs
-    /// counters; defaults to [`Ir::size`].
+    /// counters (over the functions this run compiles); defaults to
+    /// [`Ir::size`].
     fn size(&self, ir: &Ir) -> Option<u64> {
         ir.size()
     }
@@ -189,77 +262,118 @@ pub trait Pass: Send + Sync {
     }
 }
 
-/// Maps `f` over `items` preserving order, fanning out across at most
-/// `workers` threads. With `workers <= 1` (or one item) this is a plain
-/// serial map, and parallel chunks are re-assembled by index, so the
-/// result is identical either way.
-pub(crate) fn par_map<T, U>(
-    items: &[T],
-    workers: usize,
-    f: impl Fn(&T) -> Result<U, CompileError> + Sync,
-) -> Result<Vec<U>, CompileError>
-where
-    T: Sync,
-    U: Send,
-{
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<Result<U, CompileError>>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, (out, inp)) in slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::register_thread(&format!("compile-{w}"));
-                for (slot, item) in out.iter_mut().zip(inp) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("par_map: every slot is filled by its chunk's worker"))
-        .collect()
+/// The complete per-function vertical produced by one compilation: the
+/// function's image in every intermediate representation the final
+/// [`Compiled`] artifact retains, in pipeline order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FnArtifacts {
+    /// Cminor translation (post-`cminorgen`).
+    pub cminor: cminor::CmFunction,
+    /// RTL before optimization (post-`rtlgen`).
+    pub rtl: rtl::RtlFunction,
+    /// RTL after the enabled optimizations (post-`tunnel`).
+    pub rtl_opt: rtl::RtlFunction,
+    /// Mach translation with the laid-out frame (post-`machgen`).
+    pub mach: mach::MachFunction,
+    /// Final `ASMsz` code (post-`asmgen`).
+    pub asm: asm::AsmFunction,
 }
 
-/// Applies `f` to every item in place, fanning out across at most
-/// `workers` threads. Items are mutated independently, so the result does
-/// not depend on scheduling.
-fn par_for_each_mut<T: Send>(items: &mut [T], workers: usize, f: impl Fn(&mut T) + Sync) {
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        for item in items {
-            f(item);
+impl FnArtifacts {
+    /// The vertical of the `i`-th function of `compiled`.
+    pub(crate) fn of(compiled: &Compiled, i: usize) -> FnArtifacts {
+        FnArtifacts {
+            cminor: compiled.cminor.functions[i].clone(),
+            rtl: compiled.rtl.functions[i].clone(),
+            rtl_opt: compiled.rtl_opt.functions[i].clone(),
+            mach: compiled.mach.functions[i].clone(),
+            asm: compiled.asm.functions[i].clone(),
         }
-        return;
     }
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, part) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::register_thread(&format!("compile-{w}"));
-                for item in part {
-                    f(item);
-                }
-            });
-        }
-    });
 }
 
-/// Expects an RTL input, cloning it for an in-place transformation.
-fn expect_rtl(pass: &'static str, input: &Ir) -> Result<rtl::RtlProgram, CompileError> {
-    match input {
-        Ir::Rtl(p) => Ok(p.clone()),
-        other => Err(CompileError::Internal(format!(
-            "{pass}: expected rtl input, got {}",
-            other.stage()
-        ))),
+/// The verticals a [`Pipeline::run_reusing`] run compiled, keyed by
+/// function name, for the caller to store under its own content keys.
+pub type FreshArtifacts = Vec<(String, Arc<FnArtifacts>)>;
+
+/// A function of some IR, named for its per-function obs span.
+trait FnName {
+    fn name(&self) -> &str;
+}
+
+macro_rules! fn_name {
+    ($($ty:ty),*) => {
+        $(impl FnName for $ty {
+            fn name(&self) -> &str {
+                &self.name
+            }
+        })*
+    };
+}
+
+fn_name!(
+    clight::Function,
+    cminor::CmFunction,
+    rtl::RtlFunction,
+    mach::MachFunction
+);
+
+/// The obs span of a pass: `compiler/<name>`, with a `target=` label on
+/// target-specific passes so sz32 and rv runs never collide in `obs-diff`
+/// or the hotspots table.
+fn span_name(pass: &dyn Pass, target: asm::Target) -> String {
+    if pass.target_specific() {
+        format!("compiler/{}{{target={}}}", pass.name(), target.name())
+    } else {
+        format!("compiler/{}", pass.name())
     }
+}
+
+/// Interleaves the functions a run compiled (in definition order) with
+/// the reused ones: slot `i` is `pick(reused[i])` for a reused function
+/// and the next compiled function otherwise.
+fn splice<'r, T>(
+    reused: &'r [Option<&'r FnArtifacts>],
+    compiled: impl IntoIterator<Item = T, IntoIter: 'r>,
+    pick: impl Fn(&'r FnArtifacts) -> T + 'r,
+) -> impl Iterator<Item = T> + 'r {
+    let mut compiled = compiled.into_iter();
+    reused.iter().map(move |r| match r {
+        Some(a) => pick(a),
+        None => compiled
+            .next()
+            .expect("one compiled function per function not reused"),
+    })
+}
+
+/// The error for an input [`Ir`] stage a pass does not accept.
+fn wrong_input(pass: &str, expected: &str, got: &Ir) -> CompileError {
+    CompileError::Internal(format!(
+        "{pass}: expected {expected} input, got {}",
+        got.stage()
+    ))
+}
+
+/// Runs an RTL → RTL transformation on a copy of every function of the
+/// input.
+fn map_rtl(
+    pass: &str,
+    input: &Ir,
+    ctx: &PassContext<'_>,
+    transform: impl Fn(&mut rtl::RtlFunction) + Sync,
+) -> Result<Ir, CompileError> {
+    let Ir::Rtl(p) = input else {
+        return Err(wrong_input(pass, "rtl", input));
+    };
+    Ok(Ir::Rtl(rtl::RtlProgram {
+        globals: p.globals.clone(),
+        externals: p.externals.clone(),
+        functions: ctx.map(&p.functions, |f| {
+            let mut f = f.clone();
+            transform(&mut f);
+            Ok(f)
+        })?,
+    }))
 }
 
 /// Clight → Cminor (local-variable merging into an explicit stack block).
@@ -271,18 +385,27 @@ impl Pass for CminorGen {
         "cminorgen"
     }
 
-    fn run(&self, input: &Ir, _ctx: &PassContext) -> Result<Ir, CompileError> {
-        match input {
-            Ir::Clight(p) => Ok(Ir::Cminor(cminorgen::translate(p)?)),
-            other => Err(CompileError::Internal(format!(
-                "cminorgen: expected clight input, got {}",
-                other.stage()
-            ))),
-        }
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let Ir::Clight(p) = input else {
+            return Err(wrong_input("cminorgen", "clight", input));
+        };
+        Ok(Ir::Cminor(cminor::CmProgram {
+            globals: p
+                .globals
+                .iter()
+                .map(|g| (g.name.clone(), g.ty.size(), g.init.clone()))
+                .collect(),
+            externals: p
+                .externals
+                .iter()
+                .map(|e| (e.name.clone(), e.arity, e.ret.is_some()))
+                .collect(),
+            functions: ctx.map(&p.functions, |f| cminorgen::translate_function(f, p))?,
+        }))
     }
 }
 
-/// Cminor → RTL (CFG construction); per-function, parallelizable.
+/// Cminor → RTL (CFG construction).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RtlGen;
 
@@ -291,23 +414,19 @@ impl Pass for RtlGen {
         "rtlgen"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        match input {
-            Ir::Cminor(p) => Ok(Ir::Rtl(rtl::RtlProgram {
-                globals: p.globals.clone(),
-                externals: p.externals.clone(),
-                functions: par_map(&p.functions, ctx.workers, rtlgen::translate_function)?,
-            })),
-            other => Err(CompileError::Internal(format!(
-                "rtlgen: expected cminor input, got {}",
-                other.stage()
-            ))),
-        }
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let Ir::Cminor(p) = input else {
+            return Err(wrong_input("rtlgen", "cminor", input));
+        };
+        Ok(Ir::Rtl(rtl::RtlProgram {
+            globals: p.globals.clone(),
+            externals: p.externals.clone(),
+            functions: ctx.map(&p.functions, rtlgen::translate_function)?,
+        }))
     }
 }
 
-/// RTL → RTL leaf inlining (off by default, see [`crate::inline`]);
-/// per-function, parallelizable.
+/// RTL → RTL leaf inlining (off by default, see [`crate::inline`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Inline;
 
@@ -316,13 +435,16 @@ impl Pass for Inline {
         "inline"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        let mut p = expect_rtl("inline", input)?;
-        let candidates = inline::candidates(&p);
-        par_for_each_mut(&mut p.functions, ctx.workers, |f| {
-            inline::inline_function(f, &candidates);
-        });
-        Ok(Ir::Rtl(p))
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let Ir::Rtl(p) = input else {
+            return Err(wrong_input("inline", "rtl", input));
+        };
+        // The candidate table is program-wide: reused callees count too,
+        // at their pre-optimization RTL.
+        let candidates = inline::candidates(ctx.whole(&p.functions, |a| &a.rtl));
+        map_rtl("inline", input, ctx, |f| {
+            inline::inline_function(f, &candidates)
+        })
     }
 
     fn reports_input_size(&self) -> bool {
@@ -330,7 +452,7 @@ impl Pass for Inline {
     }
 }
 
-/// RTL → RTL constant propagation; per-function, parallelizable.
+/// RTL → RTL constant propagation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConstProp;
 
@@ -339,10 +461,8 @@ impl Pass for ConstProp {
         "constprop"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        let mut p = expect_rtl("constprop", input)?;
-        par_for_each_mut(&mut p.functions, ctx.workers, opt::constprop_function);
-        Ok(Ir::Rtl(p))
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        map_rtl("constprop", input, ctx, opt::constprop_function)
     }
 
     fn reports_input_size(&self) -> bool {
@@ -350,7 +470,7 @@ impl Pass for ConstProp {
     }
 }
 
-/// RTL → RTL dead-code elimination; per-function, parallelizable.
+/// RTL → RTL dead-code elimination.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dce;
 
@@ -359,10 +479,8 @@ impl Pass for Dce {
         "dce"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        let mut p = expect_rtl("dce", input)?;
-        par_for_each_mut(&mut p.functions, ctx.workers, opt::dce_function);
-        Ok(Ir::Rtl(p))
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        map_rtl("dce", input, ctx, opt::dce_function)
     }
 
     fn reports_input_size(&self) -> bool {
@@ -370,7 +488,8 @@ impl Pass for Dce {
     }
 }
 
-/// RTL → RTL `Nop`-chain shortening; per-function, parallelizable.
+/// RTL → RTL `Nop`-chain shortening; the last RTL pass, so its output is
+/// the optimized RTL.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tunnel;
 
@@ -379,10 +498,8 @@ impl Pass for Tunnel {
         "tunnel"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        let mut p = expect_rtl("tunnel", input)?;
-        par_for_each_mut(&mut p.functions, ctx.workers, opt::tunnel_function);
-        Ok(Ir::Rtl(p))
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        map_rtl("tunnel", input, ctx, opt::tunnel_function)
     }
 
     fn reports_input_size(&self) -> bool {
@@ -390,8 +507,7 @@ impl Pass for Tunnel {
     }
 }
 
-/// RTL → Mach (allocation, linearization, stacking); per-function,
-/// parallelizable.
+/// RTL → Mach (allocation, linearization, stacking).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachGen;
 
@@ -400,24 +516,19 @@ impl Pass for MachGen {
         "machgen"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        match input {
-            Ir::Rtl(p) => {
-                let env = machgen::Env::new(p, ctx.target);
-                Ok(Ir::Mach(mach::MachProgram {
-                    target: ctx.target,
-                    globals: p.globals.clone(),
-                    externals: p.externals.clone(),
-                    functions: par_map(&p.functions, ctx.workers, |f| {
-                        machgen::translate_function(f, &env)
-                    })?,
-                }))
-            }
-            other => Err(CompileError::Internal(format!(
-                "machgen: expected rtl input, got {}",
-                other.stage()
-            ))),
-        }
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let Ir::Rtl(p) = input else {
+            return Err(wrong_input("machgen", "rtl", input));
+        };
+        // Names compile to positions in the whole optimized program,
+        // reused functions included.
+        let env = machgen::Env::new(p, ctx.whole(&p.functions, |a| &a.rtl_opt), ctx.target);
+        Ok(Ir::Mach(mach::MachProgram {
+            target: ctx.target,
+            globals: p.globals.clone(),
+            externals: p.externals.clone(),
+            functions: ctx.map(&p.functions, |f| machgen::translate_function(f, &env))?,
+        }))
     }
 
     fn reports_input_size(&self) -> bool {
@@ -429,7 +540,7 @@ impl Pass for MachGen {
     }
 }
 
-/// Mach → `ASMsz` (stack merging); per-function, parallelizable.
+/// Mach → `ASMsz` (stack merging).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AsmGen;
 
@@ -438,28 +549,23 @@ impl Pass for AsmGen {
         "asmgen"
     }
 
-    fn run(&self, input: &Ir, ctx: &PassContext) -> Result<Ir, CompileError> {
-        match input {
-            Ir::Mach(p) => Ok(Ir::Asm(asm::AsmProgram {
-                target: p.target,
-                globals: p.globals.clone(),
-                externals: p
-                    .externals
-                    .iter()
-                    .map(|(n, a, _)| asm::AsmExternal {
-                        name: n.clone(),
-                        arity: *a,
-                    })
-                    .collect(),
-                functions: par_map(&p.functions, ctx.workers, |f| {
-                    asmgen::translate_function(f, p.target)
-                })?,
-            })),
-            other => Err(CompileError::Internal(format!(
-                "asmgen: expected mach input, got {}",
-                other.stage()
-            ))),
-        }
+    fn run(&self, input: &Ir, ctx: &PassContext<'_>) -> Result<Ir, CompileError> {
+        let Ir::Mach(p) = input else {
+            return Err(wrong_input("asmgen", "mach", input));
+        };
+        Ok(Ir::Asm(asm::AsmProgram {
+            target: p.target,
+            globals: p.globals.clone(),
+            externals: p
+                .externals
+                .iter()
+                .map(|(n, a, _)| asm::AsmExternal {
+                    name: n.clone(),
+                    arity: *a,
+                })
+                .collect(),
+            functions: ctx.map(&p.functions, |f| asmgen::translate_function(f, p.target))?,
+        }))
     }
 
     fn target_specific(&self) -> bool {
@@ -671,7 +777,9 @@ impl From<CompileError> for PipelineError {
     }
 }
 
-/// Intermediate programs the driver retains to assemble [`Compiled`].
+/// The programs the driver retains to assemble [`Compiled`]. Each holds
+/// only the functions this run compiled; reused ones are spliced in by
+/// [`Snapshots::finish`].
 #[derive(Default)]
 struct Snapshots {
     cminor: Option<cminor::CmProgram>,
@@ -698,18 +806,38 @@ impl Snapshots {
         }
     }
 
-    fn finish(self) -> Result<Compiled, CompileError> {
+    /// Assembles the whole programs, splicing in the `reused` functions.
+    fn finish(self, reused: &[Option<&FnArtifacts>]) -> Result<Compiled, CompileError> {
         let missing =
             |stage: &str| CompileError::Internal(format!("pipeline produced no {stage} program"));
+        let cminor = self.cminor.ok_or_else(|| missing("cminor"))?;
+        let rtl = self.rtl0.ok_or_else(|| missing("rtl"))?;
+        let rtl_opt = self.rtl_latest.ok_or_else(|| missing("optimized rtl"))?;
         let mach = self.mach.ok_or_else(|| missing("mach"))?;
-        let metric = mach.metric();
+        let asm = self.asm.ok_or_else(|| missing("asm"))?;
+        let mach = mach::MachProgram {
+            functions: splice(reused, mach.functions, |a| a.mach.clone()).collect(),
+            ..mach
+        };
         Ok(Compiled {
-            cminor: self.cminor.ok_or_else(|| missing("cminor"))?,
-            rtl: self.rtl0.ok_or_else(|| missing("rtl"))?,
-            rtl_opt: self.rtl_latest.ok_or_else(|| missing("optimized rtl"))?,
+            cminor: cminor::CmProgram {
+                functions: splice(reused, cminor.functions, |a| a.cminor.clone()).collect(),
+                ..cminor
+            },
+            rtl: rtl::RtlProgram {
+                functions: splice(reused, rtl.functions, |a| a.rtl.clone()).collect(),
+                ..rtl
+            },
+            rtl_opt: rtl::RtlProgram {
+                functions: splice(reused, rtl_opt.functions, |a| a.rtl_opt.clone()).collect(),
+                ..rtl_opt
+            },
+            metric: mach.metric(),
             mach,
-            asm: self.asm.ok_or_else(|| missing("asm"))?,
-            metric,
+            asm: asm::AsmProgram {
+                functions: splice(reused, asm.functions, |a| a.asm.clone()).collect(),
+                ..asm
+            },
         })
     }
 }
@@ -742,12 +870,6 @@ impl Pipeline {
         Pipeline { config, passes }
     }
 
-    /// A pipeline with an explicit pass list (for experiments with custom
-    /// or reordered passes).
-    pub fn with_passes(config: PipelineConfig, passes: Vec<Box<dyn Pass>>) -> Pipeline {
-        Pipeline { config, passes }
-    }
-
     /// The configuration this pipeline runs with.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
@@ -756,6 +878,14 @@ impl Pipeline {
     /// The pass names in execution order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
+    }
+
+    /// Whether [`Pipeline::run_reusing`] takes reused functions at all. It
+    /// does not with refinement checkpoints or budgets configured: both
+    /// are per-pass obligations over the whole program, so a warm cache
+    /// must never let a function skip them.
+    pub fn reuses_artifacts(&self) -> bool {
+        !self.config.check_refinement && self.config.budgets.is_empty()
     }
 
     /// Runs every pass in order on `program` and assembles the
@@ -767,26 +897,89 @@ impl Pipeline {
     ///
     /// See [`PipelineError`].
     pub fn run(&self, program: &clight::Program) -> Result<Compiled, PipelineError> {
+        self.drive(program, &HashMap::new())
+            .map(|(compiled, _)| compiled)
+    }
+
+    /// [`Pipeline::run`] that takes every function named in `reuse` from
+    /// its artifacts instead of compiling it, returning the assembled
+    /// [`Compiled`] plus the artifacts of the functions it did compile
+    /// (for the caller to store).
+    ///
+    /// An entry is used verbatim, so the caller must have established (via
+    /// content-addressed keys, see the module docs) that it was produced
+    /// from an identical function under an identical program signature
+    /// environment and optimization selection. `reuse` is ignored, and
+    /// every function compiled and checked, unless
+    /// [`Pipeline::reuses_artifacts`].
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`]; compile errors come only from the functions
+    /// actually compiled.
+    pub fn run_reusing(
+        &self,
+        program: &clight::Program,
+        reuse: &HashMap<String, Arc<FnArtifacts>>,
+    ) -> Result<(Compiled, FreshArtifacts), PipelineError> {
+        let (compiled, fresh) = self.drive(program, reuse)?;
+        let fresh = fresh
+            .into_iter()
+            .map(|i| {
+                let name = program.functions[i].name.clone();
+                (name, Arc::new(FnArtifacts::of(&compiled, i)))
+            })
+            .collect();
+        Ok((compiled, fresh))
+    }
+
+    /// The one compile driver behind [`Pipeline::run`] and
+    /// [`Pipeline::run_reusing`]: runs every pass over the functions not
+    /// reused, then splices the reused ones in. Returns the assembled
+    /// program and the indices of the functions it compiled, which it
+    /// also counts (with the reused ones) in the `compiler/fn_compiled`
+    /// and `compiler/fn_reused` obs counters.
+    fn drive(
+        &self,
+        program: &clight::Program,
+        reuse: &HashMap<String, Arc<FnArtifacts>>,
+    ) -> Result<(Compiled, Vec<usize>), PipelineError> {
         let _span = obs::span("compiler/compile");
-        let ctx = PassContext {
-            workers: self.config.effective_workers(),
-            target: self.config.options.target,
-        };
+        let reuses = self.reuses_artifacts();
+        let reused: Vec<Option<&FnArtifacts>> = program
+            .functions
+            .iter()
+            .map(|f| reuse.get(&f.name).filter(|_| reuses).map(|a| &**a))
+            .collect();
+        let compiled: Vec<usize> = (0..reused.len()).filter(|&i| reused[i].is_none()).collect();
+        obs::counter("compiler/fn_reused", (reused.len() - compiled.len()) as u64);
+        obs::counter("compiler/fn_compiled", compiled.len() as u64);
+        let mut current = Ir::Clight(clight::Program {
+            globals: program.globals.clone(),
+            externals: program.externals.clone(),
+            functions: compiled
+                .iter()
+                .map(|&i| program.functions[i].clone())
+                .collect(),
+        });
+
+        let workers = self.config.effective_workers();
+        let target = self.config.options.target;
         let mut snapshots = Snapshots::default();
-        let mut current = Ir::Clight(program.clone());
         for pass in &self.passes {
-            let _s = obs::span_dyn(|| {
-                if pass.target_specific() {
-                    format!("compiler/{}{{target={}}}", pass.name(), ctx.target.name())
-                } else {
-                    format!("compiler/{}", pass.name())
-                }
-            });
+            let pass = pass.as_ref();
+            let _s = obs::span_dyn(|| span_name(pass, target));
             if pass.reports_input_size() {
                 if let Some(n) = pass.size(&current) {
                     obs::counter("instrs_in", n);
                 }
             }
+            let ctx = PassContext {
+                workers,
+                target,
+                pass,
+                reused: &reused,
+            };
             let started = Instant::now();
             let output = pass.run(&current, &ctx)?;
             let elapsed = started.elapsed();
@@ -812,6 +1005,7 @@ impl Pipeline {
             snapshots.absorb(std::mem::replace(&mut current, output));
         }
         snapshots.absorb(current);
-        snapshots.finish().map_err(PipelineError::Compile)
+        let assembled = snapshots.finish(&reused).map_err(PipelineError::Compile)?;
+        Ok((assembled, compiled))
     }
 }

@@ -57,6 +57,9 @@ pub use vcache;
 pub mod serve;
 pub mod table2;
 
+/// The one deterministic parallel map, shared with the bench harnesses.
+pub use compiler::par_map;
+
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -118,48 +121,6 @@ impl Report {
     pub fn slack(&self, fname: &str) -> Option<u32> {
         Some(self.bound(fname)? - self.measured(fname)?)
     }
-}
-
-/// Deterministic, order-preserving parallel map over a work list: results
-/// land in index order, so serial and parallel callers produce
-/// byte-identical output. Mirrors the compiler backend's chunked
-/// [`std::thread::scope`] fan (`compiler::pipeline`); worker count is the
-/// machine's available parallelism capped at the item count, and the
-/// closure runs inline when that leaves a single worker.
-///
-/// Shared by the [`Verifier`]'s `--parallel-measure` mode and the bench
-/// harnesses.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<U>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, (out, inp)) in slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::register_thread(&format!("worker-{w}"));
-                for (slot, item) in out.iter_mut().zip(inp) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot is filled by exactly one worker"))
-        .collect()
 }
 
 impl fmt::Display for Report {
@@ -449,11 +410,10 @@ impl Verifier {
     /// function plus its transitive callers). Stage output is
     /// byte-identical to an uncached run.
     ///
-    /// The cached compile driver does not support per-pass refinement
-    /// checkpoints or wall-clock budgets (both whole-program concepts);
-    /// when either is configured on [`Verifier::pipeline`], the compile
-    /// stage transparently falls back to the regular pass manager while
-    /// the other stages keep caching.
+    /// Refinement checkpoints and budgets still cover every function:
+    /// when either is configured on [`Verifier::pipeline`], the compiler
+    /// driver ignores the cached per-function artifacts and compiles (and
+    /// checks) the whole program, while the other stages keep caching.
     #[must_use]
     pub fn vcache(mut self, cache: std::sync::Arc<vcache::VCache>) -> Verifier {
         self.vcache = Some(cache);
@@ -519,23 +479,17 @@ impl Verifier {
                 }
                 Stage::Compile => {
                     let program = program.as_ref().expect("frontend is mandatory");
-                    // Refinement checkpoints and budgets are per-pass,
-                    // whole-program features of the pass manager; the
-                    // incremental driver has no equivalent, so fall back.
-                    let incremental =
-                        !self.pipeline.check_refinement && self.pipeline.budgets.is_empty();
-                    compiled = Some(match (&self.vcache, &keys) {
-                        (Some(cache), Some(keys)) if incremental => {
-                            vcache::compile(cache, program, &self.pipeline, keys)
-                                .map_err(Error::Compiler)?
+                    let pipeline = compiler::Pipeline::new(self.pipeline.clone());
+                    let result = match (&self.vcache, &keys) {
+                        (Some(cache), Some(keys)) => {
+                            vcache::run_pipeline(cache, &pipeline, program, keys)
                         }
-                        _ => compiler::Pipeline::new(self.pipeline.clone())
-                            .run(program)
-                            .map_err(|e| match e {
-                                compiler::PipelineError::Compile(e) => Error::Compiler(e),
-                                other => Error::Pipeline(other),
-                            })?,
-                    });
+                        _ => pipeline.run(program),
+                    };
+                    compiled = Some(result.map_err(|e| match e {
+                        compiler::PipelineError::Compile(e) => Error::Compiler(e),
+                        other => Error::Pipeline(other),
+                    })?);
                 }
                 Stage::Bound => {
                     let _s = obs::span("verify/bounds");
@@ -592,7 +546,7 @@ impl Verifier {
                         }
                     };
                     let results = if self.parallel_measure && targets.len() > 1 {
-                        par_map(&targets, measure_one)
+                        par_map(&targets, 0, measure_one)
                     } else {
                         targets.iter().map(measure_one).collect()
                     };
@@ -655,36 +609,6 @@ pub fn verify_program(src: &str) -> Result<Report, Error> {
 /// See [`verify_program`].
 pub fn verify_with_params(src: &str, params: &[(&str, u32)]) -> Result<Report, Error> {
     Verifier::new().params(params).verify(src)
-}
-
-#[cfg(test)]
-mod par_map_tests {
-    use super::par_map;
-
-    #[test]
-    fn empty_slice_yields_empty_output() {
-        let out: Vec<u32> = par_map(&[] as &[u32], |&x| x + 1);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_item_runs_inline_and_preserves_value() {
-        // One item caps the pool at one worker, so the closure runs on
-        // the calling thread.
-        let caller = std::thread::current().id();
-        let out = par_map(&[41u32], |&x| {
-            assert_eq!(std::thread::current().id(), caller);
-            x + 1
-        });
-        assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn results_land_in_index_order() {
-        let items: Vec<u32> = (0..101).collect();
-        let out = par_map(&items, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-    }
 }
 
 #[cfg(test)]

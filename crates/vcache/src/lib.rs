@@ -21,8 +21,9 @@
 //! The cached stage drivers ([`analyze`], [`check`], [`compile`],
 //! [`concrete_bound`]) also fan misses out across worker threads along
 //! the call-graph structure: analysis by SCC level (callees before
-//! callers), compilation per function within the compiler's phase
-//! barriers (via [`compiler::compile_incremental`]).
+//! callers), compilation per function inside every pass of the one
+//! compiler driver ([`compiler::Pipeline::run_reusing`]), which splices
+//! the cached functions back in.
 //!
 //! # Examples
 //!
@@ -418,42 +419,6 @@ impl std::fmt::Debug for VCache {
     }
 }
 
-/// Deterministic, order-preserving parallel map (the `stackbound::par_map`
-/// construction, duplicated here to keep the dependency arrow pointing
-/// from `stackbound` to `vcache`).
-fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<U>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, (out, inp)) in slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::register_thread(&format!("worker-{w}"));
-                for (slot, item) in out.iter_mut().zip(inp) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot is filled by exactly one worker"))
-        .collect()
-}
-
 /// Groups `order` (a topological order, callees first) into *levels*: all
 /// functions in a level only call into earlier levels, so one level's
 /// analyses are mutually independent and can run in parallel.
@@ -504,7 +469,7 @@ pub fn analyze(
         // Hits resolve without touching the analyzer; misses of one level
         // are independent given the context of earlier levels.
         let results: Vec<Result<(Arc<AnalyzeEntry>, bool), AnalyzerError>> =
-            par_map(&level, |name| {
+            compiler::par_map(&level, 0, |name| {
                 let _s = obs::span_dyn(|| format!("vcache/analyze/fn/{name}"));
                 match keys.get(name).and_then(|&k| cache.get_analyze(k)) {
                     Some(entry) => Ok((entry, false)),
@@ -588,39 +553,67 @@ pub fn check_cached(
     Ok(())
 }
 
-/// The cached, function-parallel replacement for the compile stage:
-/// resolves cached per-function verticals by key and hands the misses to
-/// [`compiler::compile_incremental`], storing the freshly compiled
+/// The cached compile stage: resolves cached per-function verticals by
+/// key, hands them to `pipeline` ([`compiler::Pipeline::run_reusing`]),
+/// which compiles only the rest, and stores the freshly compiled
 /// verticals back under their keys.
 ///
-/// Budgets and refinement checkpoints are whole-program, per-pass
-/// concepts; callers wanting those must use the [`compiler::Pipeline`]
-/// driver instead (the `stackbound::Verifier` falls back automatically).
+/// A pipeline with refinement checkpoints or budgets takes no cached
+/// verticals ([`compiler::Pipeline::reuses_artifacts`]): it compiles (and
+/// checks) every function, so a warm cache never lets a function skip
+/// either, and the lookups are skipped.
 ///
 /// # Errors
 ///
-/// Exactly the [`compiler::CompileError`]s a pipeline run would produce
-/// on the functions that are actually compiled.
-pub fn compile(
+/// Whatever the pipeline run reports.
+pub fn run_pipeline(
     cache: &VCache,
+    pipeline: &compiler::Pipeline,
     program: &Program,
-    config: &compiler::PipelineConfig,
     keys: &BTreeMap<String, Key>,
-) -> Result<compiler::Compiled, compiler::CompileError> {
+) -> Result<compiler::Compiled, compiler::PipelineError> {
     let _span = obs::span("vcache/compile");
     let mut reuse: HashMap<String, Arc<FnArtifacts>> = HashMap::new();
-    for f in &program.functions {
-        if let Some(artifacts) = keys.get(&f.name).and_then(|&k| cache.get_compile(k)) {
-            reuse.insert(f.name.clone(), artifacts);
+    if pipeline.reuses_artifacts() {
+        for f in &program.functions {
+            if let Some(artifacts) = keys.get(&f.name).and_then(|&k| cache.get_compile(k)) {
+                reuse.insert(f.name.clone(), artifacts);
+            }
         }
     }
-    let (compiled, fresh) = compiler::compile_incremental(program, config, &reuse)?;
+    let (compiled, fresh) = pipeline.run_reusing(program, &reuse)?;
     for (name, artifacts) in fresh {
         if let Some(&key) = keys.get(&name) {
             cache.put_compile(key, artifacts);
         }
     }
     Ok(compiled)
+}
+
+/// [`run_pipeline`] with the pipeline `config` builds.
+///
+/// # Errors
+///
+/// The [`compiler::CompileError`]s of the functions actually compiled; a
+/// budget or refinement-checkpoint failure of a configured pipeline
+/// reports as [`compiler::CompileError::Internal`] (call [`run_pipeline`]
+/// to tell those apart).
+pub fn compile(
+    cache: &VCache,
+    program: &Program,
+    config: &compiler::PipelineConfig,
+    keys: &BTreeMap<String, Key>,
+) -> Result<compiler::Compiled, compiler::CompileError> {
+    run_pipeline(
+        cache,
+        &compiler::Pipeline::new(config.clone()),
+        program,
+        keys,
+    )
+    .map_err(|e| match e {
+        compiler::PipelineError::Compile(e) => e,
+        other => compiler::CompileError::Internal(other.to_string()),
+    })
 }
 
 /// The cached replacement for `Analysis::concrete_bound`: evaluates the

@@ -243,3 +243,113 @@ fn editing_one_function_reuses_nondependent_artifacts() {
     let direct = compiler::Pipeline::new(config.clone()).run(&p2).unwrap();
     assert_eq!(format!("{direct:?}"), format!("{cached:?}"));
 }
+
+/// Sums the named counter over every span the calling thread recorded.
+fn thread_counter(report: &obs::Report, name: &str) -> u64 {
+    fn sum(node: &obs::SpanNode, name: &str) -> u64 {
+        node.counters.get(name).copied().unwrap_or(0)
+            + node.children.iter().map(|c| sum(c, name)).sum::<u64>()
+    }
+    let tid = obs::thread_id();
+    report
+        .roots
+        .iter()
+        .filter(|root| root.tid == tid)
+        .map(|root| sum(root, name))
+        .sum()
+}
+
+/// A warm cache cannot let a function skip a refinement checkpoint: with
+/// checkpoints on, the compiler driver takes no cached vertical (nor
+/// looks one up) and compiles (and checks) the whole program, and the
+/// report is the one an uncached checked run renders.
+#[test]
+fn warm_cache_cannot_skip_a_checkpoint() {
+    let cache = Arc::new(vcache::VCache::new());
+    let unchecked = Verifier::new().fuel(FUEL).vcache(cache.clone());
+    let checked = Verifier::new()
+        .fuel(FUEL)
+        .vcache(cache.clone())
+        .check_refinement(true);
+    let plain = Verifier::new().fuel(FUEL).check_refinement(true);
+    // Other tests in this binary may record concurrently; only this
+    // thread's spans count.
+    let compile_counts = |verifier: &Verifier, src: &str| {
+        let session = obs::install();
+        let result = verifier.verify(src);
+        let report = obs::report().expect("recorder installed");
+        drop(session);
+        let counts = (
+            thread_counter(&report, "compiler/fn_compiled"),
+            thread_counter(&report, "compiler/fn_reused"),
+        );
+        (result, counts)
+    };
+    for b in benchsuite::table1_benchmarks() {
+        let functions = b.program().unwrap().functions.len() as u64;
+        unchecked
+            .verify(b.source)
+            .unwrap_or_else(|e| panic!("{}: priming: {e}", b.file));
+        let (_, warm) = compile_counts(&unchecked, b.source);
+        assert_eq!(warm, (0, functions), "{}: cache is not warm", b.file);
+        let lookups = cache.stats(vcache::CacheStage::Compile);
+        let (got, counts) = compile_counts(&checked, b.source);
+        assert_eq!(
+            counts,
+            (functions, 0),
+            "{}: a checked run reused a cached function",
+            b.file
+        );
+        assert_eq!(
+            cache.stats(vcache::CacheStage::Compile),
+            lookups,
+            "{}: a checked run looked up cached functions it cannot use",
+            b.file
+        );
+        let got = got
+            .unwrap_or_else(|e| panic!("{}: checked cached: {e}", b.file))
+            .to_string();
+        let want = plain
+            .verify(b.source)
+            .unwrap_or_else(|e| panic!("{}: checked uncached: {e}", b.file))
+            .to_string();
+        assert_eq!(want, got, "{}: checked cached report diverged", b.file);
+    }
+}
+
+/// The one compiler driver is incremental without being visible: reusing
+/// every function's artifacts gives exactly the `Compiled` of reusing
+/// none, on every corpus program and both targets, and compiles nothing.
+#[test]
+fn full_reuse_compiles_identically_to_no_reuse() {
+    let programs = table_benchmarks()
+        .iter()
+        .map(|b| (b.file, b.program().unwrap()))
+        .chain(
+            benchsuite::recursive_cases()
+                .iter()
+                .map(|c| (c.file, clight::frontend(c.source, &[]).unwrap())),
+        )
+        .collect::<Vec<_>>();
+    for target in [stackbound::asm::Target::Sz32, stackbound::asm::Target::Rv] {
+        let pipeline = compiler::Pipeline::new(compiler::PipelineConfig::with_options(
+            compiler::Options::for_target(target),
+        ));
+        for (file, program) in &programs {
+            let (cold, fresh) = pipeline
+                .run_reusing(program, &Default::default())
+                .unwrap_or_else(|e| panic!("{file} [{target}]: {e}"));
+            assert_eq!(fresh.len(), program.functions.len(), "{file} [{target}]");
+            let reuse = fresh.into_iter().collect();
+            let (warm, recompiled) = pipeline
+                .run_reusing(program, &reuse)
+                .unwrap_or_else(|e| panic!("{file} [{target}]: {e}"));
+            assert!(recompiled.is_empty(), "{file} [{target}]: recompiled");
+            assert_eq!(
+                format!("{cold:?}"),
+                format!("{warm:?}"),
+                "{file} [{target}]: full reuse diverged"
+            );
+        }
+    }
+}
